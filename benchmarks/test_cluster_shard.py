@@ -33,7 +33,7 @@ import os
 import pathlib
 
 from conftest import emit
-from repro.core import ReverseStateReconstruction
+from repro.core import ReverseStateReconstruction, SkipRegionLog
 from repro.harness import audit_summary, format_table
 from repro.sampling import SampledSimulator
 from repro.telemetry import AUDIT_ENV_VAR, COLLECT_ENV_VAR, Telemetry
@@ -92,15 +92,15 @@ def test_cluster_shard(benchmark, scale):
         sharded = _run(_simulator(workload, scale, cluster_jobs=2),
                        audit=True)
         wide = _run(_simulator(workload, scale, cluster_jobs=4))
-        compacted = _run(_simulator(workload, scale, cluster_jobs=2),
-                         source="compacted")
+        raw = _run(_simulator(workload, scale, cluster_jobs=2),
+                   source=SkipRegionLog)
 
         if sharded.cost.as_dict() != serial.cost.as_dict():
             equivalent_costs = False
         if (wide.cluster_ipcs != sharded.cluster_ipcs
                 or wide.cost.as_dict() != sharded.cost.as_dict()):
             worker_invariant = False
-        if compacted.cluster_ipcs != sharded.cluster_ipcs:
+        if raw.cluster_ipcs != sharded.cluster_ipcs:
             raw_equals_compacted = False
 
         biases = [abs(shard_ipc - serial_ipc)

@@ -15,7 +15,7 @@ from repro.harness import (
     format_speedups,
 )
 from repro.sampling import SampledSimulator
-from repro.warmup import make_method
+from repro.warmup import resolve_method
 from repro.workloads import build_workload
 
 METHODS = ["RBP", "SBP"]
@@ -27,7 +27,7 @@ def test_figure6_bp_only(benchmark, scale, matrix):
             build_workload("gcc"), scale.regimen(), scale.configs(),
             warmup_prefix=scale.warmup_prefix,
         )
-        return simulator.run(make_method("RBP"))
+        return simulator.run(resolve_method("RBP"))
 
     benchmark.pedantic(representative_run, rounds=1, iterations=1)
 

@@ -18,7 +18,7 @@ from repro.harness import (
     format_speedups,
 )
 from repro.sampling import SampledSimulator
-from repro.warmup import make_method
+from repro.warmup import resolve_method
 from repro.workloads import build_workload
 
 METHODS = [
@@ -33,7 +33,7 @@ def test_figure7_combined(benchmark, scale, matrix):
             build_workload("twolf"), scale.regimen(), scale.configs(),
             warmup_prefix=scale.warmup_prefix,
         )
-        return simulator.run(make_method("R$BP (20%)"))
+        return simulator.run(resolve_method("R$BP (20%)"))
 
     benchmark.pedantic(representative_run, rounds=1, iterations=1)
 

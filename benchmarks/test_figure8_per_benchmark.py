@@ -9,7 +9,7 @@ time; we report both the deterministic work metric and wall time).
 from conftest import emit
 from repro.harness import format_per_workload, format_speedups
 from repro.sampling import SampledSimulator
-from repro.warmup import make_method
+from repro.warmup import resolve_method
 from repro.workloads import build_workload
 
 METHODS = ["R$BP (20%)", "R$BP (40%)", "R$BP (80%)", "R$BP (100%)", "S$BP"]
@@ -21,7 +21,7 @@ def test_figure8_per_benchmark(benchmark, scale, matrix):
             build_workload("mcf"), scale.regimen(), scale.configs(),
             warmup_prefix=scale.warmup_prefix,
         )
-        return simulator.run(make_method("S$BP"))
+        return simulator.run(resolve_method("S$BP"))
 
     benchmark.pedantic(representative_run, rounds=1, iterations=1)
 

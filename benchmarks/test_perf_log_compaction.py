@@ -18,7 +18,7 @@ import json
 import pathlib
 
 from conftest import emit
-from repro.core import ReverseStateReconstruction
+from repro.core import ReverseStateReconstruction, SkipRegionLog
 from repro.harness import compaction_stats, format_table
 from repro.sampling import SampledSimulator
 from repro.telemetry import Telemetry
@@ -27,12 +27,13 @@ from repro.workloads import build_workload
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pr3.json"
 WORKLOADS = ("gcc", "twolf", "mcf")
 FRACTIONS = (1.0, 0.4)
-SOURCES = ("raw", "compacted")
+#: Skip-log source factories by name (None: the production compacted log).
+SOURCES = {"raw": SkipRegionLog, "compacted": None}
 
 
 def _run_cell(simulator, fraction: float, source: str) -> dict:
     result = simulator.run(
-        ReverseStateReconstruction(fraction=fraction, source=source)
+        ReverseStateReconstruction(fraction=fraction, source=SOURCES[source])
     )
     snapshot = result.extra["telemetry"]
     stats = compaction_stats(snapshot)

@@ -1,8 +1,8 @@
-"""Perf bench: the vectorized batch core versus the scalar baseline.
+"""Perf bench: the vectorized core versus the scalar oracles.
 
-Runs R$BP with the batch core on (``REPRO_BATCH_CORE=on``: batched
-functional interpreter + vectorized reverse reconstruction) and off
-(the scalar `step()` loop and per-reference reverse scans) across the
+Runs R$BP on the production core (span interpreter + vectorized reverse
+reconstruction) and under ``tests.oracles.oracle_core`` (the per-step
+`step()` loop and per-reference reverse scans) across the
 full equivalence matrix — all nine paper workloads x {raw, compacted}
 skip-log sources x {serial, cluster-sharded} topologies — and records
 ``BENCH_pr6.json`` at the repo root for the trajectory gate.
@@ -13,8 +13,8 @@ the IPC estimate, and the telemetry event counters (which subsume the
 gap-log record counts and the reconstruction scan/apply/skip accounting)
 are bit-identical between the two modes in every cell.
 
-Headline speedup (asserted): the phases the batch-core switch actually
-gates — the cold functional simulation of skip regions (``cold_skip``,
+Headline speedup (asserted): the phases the oracle swap actually
+replaces — the cold functional simulation of skip regions (``cold_skip``,
 plus the functional ``prefix``) and reverse reconstruction
 (``reconstruct``) — run >= 2x faster batched than scalar, aggregated
 over the whole matrix at the bench tier.  The detailed hot-simulation
@@ -27,36 +27,31 @@ recorded as an informational metric.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import os
 import pathlib
 
 from conftest import emit
-from repro.core import ReverseStateReconstruction
+from repro.core import ReverseStateReconstruction, SkipRegionLog
 from repro.harness import format_table
 from repro.sampling import SampledSimulator
 from repro.telemetry import Telemetry
 from repro.workloads import PAPER_WORKLOADS, build_workload
+from tests.oracles import oracle_core
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pr6.json"
-SOURCES = ("raw", "compacted")
+#: Skip-log source factories by name (None: the production compacted log).
+SOURCES = {"raw": SkipRegionLog, "compacted": None}
 TOPOLOGIES = (("serial", None), ("sharded", 2))
-#: Phases whose engine the REPRO_BATCH_CORE switch selects.
+#: Phases whose engine the oracle swap replaces.
 GATED_PHASES = ("cold_skip", "prefix", "reconstruct")
 
 
 def _run_cell(simulator, source: str, batched: bool) -> dict:
-    previous = os.environ.get("REPRO_BATCH_CORE")
-    os.environ["REPRO_BATCH_CORE"] = "on" if batched else "off"
-    try:
+    with contextlib.nullcontext() if batched else oracle_core():
         result = simulator.run(
-            ReverseStateReconstruction(fraction=1.0, source=source)
+            ReverseStateReconstruction(fraction=1.0, source=SOURCES[source])
         )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_BATCH_CORE", None)
-        else:
-            os.environ["REPRO_BATCH_CORE"] = previous
     snapshot = result.extra["telemetry"]
     phases = dict(snapshot.phase_seconds)
     return {

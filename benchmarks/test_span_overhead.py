@@ -39,7 +39,7 @@ from repro.telemetry import (
     spans_enabled,
     to_chrome_trace,
 )
-from repro.warmup import make_method
+from repro.warmup import resolve_method
 from repro.workloads import build_workload
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pr7.json"
@@ -55,7 +55,7 @@ def _run(simulator, spans: bool):
     os.environ[SPANS_ENV_VAR] = "1" if spans else "0"
     try:
         start = time.perf_counter()
-        result = simulator.run(make_method(METHOD))
+        result = simulator.run(resolve_method(METHOD))
         wall = time.perf_counter() - start
     finally:
         if previous is None:

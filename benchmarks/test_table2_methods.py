@@ -7,7 +7,7 @@ and smoke-times one representative configuration end to end.
 from conftest import emit
 from repro.harness import format_table
 from repro.sampling import SampledSimulator
-from repro.warmup import paper_method_suite, make_method
+from repro.warmup import paper_method_suite, resolve_method
 from repro.workloads import build_workload
 
 
@@ -19,7 +19,7 @@ def test_table2_method_matrix(benchmark, scale):
             workload, scale.regimen(), scale.configs(),
             warmup_prefix=scale.warmup_prefix,
         )
-        return simulator.run(make_method("R$BP (20%)"))
+        return simulator.run(resolve_method("R$BP (20%)"))
 
     result = benchmark.pedantic(one_sampled_run, rounds=1, iterations=1)
     assert len(result.cluster_ipcs) == scale.num_clusters

@@ -70,7 +70,6 @@ from .warmup import (
     BLRLWarmup,
     paper_method_suite,
     paper_method_names,
-    make_method,
     register_method,
     unregister_method,
     resolve_method,
@@ -140,7 +139,6 @@ __all__ = [
     "BLRLWarmup",
     "paper_method_suite",
     "paper_method_names",
-    "make_method",
     "register_method",
     "unregister_method",
     "resolve_method",

@@ -27,8 +27,7 @@ audit WORKLOAD
     Accuracy audit: per-cluster divergence of reconstructed state from a
     perfectly warmed reference (cache/PHT/BTB/RAS agreement, inference
     ambiguity) and the cold-start vs sampling split of each cluster's
-    IPC error (``--source both`` additionally asserts the raw and
-    compacted skip-log sources agree bit-for-bit).
+    IPC error.
 executors
     List the registered executor fan-out backends (``--executor`` /
     ``REPRO_EXECUTOR`` select one for ``matrix`` and ``serve``).
@@ -499,49 +498,24 @@ def cmd_profile(args) -> int:
 
 def cmd_audit(args) -> int:
     """Per-cluster accuracy audit: bias attribution vs a warm reference."""
-    from .core.source import COMPACTION_ENV_VAR
     from .harness import format_audit_report, save_audit
-    from .harness.export import audit_to_json
     from .telemetry import AUDIT_ENV_VAR, Telemetry, merge_snapshots
 
     scale = _resolve_scale(args)
     workload = build_workload(args.workload, mem_scale=scale.mem_scale)
     methods = args.method or ["S$BP", "R$BP (100%)"]
-    sources = ("raw", "compacted") if args.source == "both" \
-        else (args.source,)
-
-    def run_with(source_kind: str):
-        # "auto" leaves REPRO_LOG_COMPACTION alone; a concrete kind pins
-        # it for the run, so every method resolves to that source.
-        overrides = {
-            AUDIT_ENV_VAR: "1",
-            COMPACTION_ENV_VAR:
-                None if source_kind == "auto" else source_kind,
-        }
-        snapshots = []
-        with _env_overrides(overrides):
-            simulator = _simulator(workload, scale, telemetry=Telemetry)
-            for method_name in methods:
-                result = simulator.run(resolve_method(method_name))
-                snapshots.append(result.extra.get("telemetry"))
-        return merge_snapshots(snapshots)
-
-    merged_by_source = {kind: run_with(kind) for kind in sources}
-    merged = merged_by_source[sources[0]]
+    snapshots = []
+    with _env_overrides({AUDIT_ENV_VAR: "1"}):
+        simulator = _simulator(workload, scale, telemetry=Telemetry)
+        for method_name in methods:
+            result = simulator.run(resolve_method(method_name))
+            snapshots.append(result.extra.get("telemetry"))
+    merged = merge_snapshots(snapshots)
     print(format_audit_report(
         merged,
         title=f"{args.workload} accuracy audit ({scale.name} tier, "
               f"{scale.regimen().describe()})",
     ))
-    if args.source == "both":
-        texts = {kind: audit_to_json(merged_by_source[kind])
-                 for kind in sources}
-        if texts["raw"] != texts["compacted"]:
-            print("error: audit diverges between raw and compacted "
-                  "skip-log sources", file=sys.stderr)
-            return 1
-        print("\nraw and compacted skip-log sources produced "
-              "bit-identical audit JSON")
     if args.json:
         save_audit(merged, args.json)
         print(f"\naudit JSON written to {args.json}")
@@ -737,9 +711,7 @@ def cmd_executors(_args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """Run the long-running simulation service until interrupted."""
-    import time
-
+    """Run the long-running simulation service until SIGINT/SIGTERM."""
     from .service import SimulationService
 
     options = _options_for(args)
@@ -761,13 +733,8 @@ def cmd_serve(args) -> int:
     print(f"metrics: GET {service.url}/metrics")
     print(f"submit with: repro submit --url {service.url} sample "
           f"--workload gcc")
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        service.stop()
+    service.serve_forever()
+    print("shutting down")
     return 0
 
 
@@ -787,7 +754,6 @@ def cmd_submit(args) -> int:
         cluster_jobs=(args.cluster_jobs
                       if args.cluster_jobs is not None else 1),
         jobs=args.jobs,
-        source=args.source,
     )
     client = ServiceClient(args.url, timeout=min(args.timeout, 60.0))
     try:
@@ -1019,10 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the kind's standard suite)",
     )
     submit_parser.add_argument(
-        "--source", choices=("auto", "raw", "compacted"), default="auto",
-        help="skip-log source for audit jobs",
-    )
-    submit_parser.add_argument(
         "--jobs", type=int, default=None,
         help="matrix-cell workers on the service side",
     )
@@ -1072,12 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", action="append", default=None,
         help="Table 2 method name (repeatable); default: S$BP and "
              "R$BP (100%%)",
-    )
-    audit_parser.add_argument(
-        "--source", choices=("auto", "raw", "compacted", "both"),
-        default="auto",
-        help="skip-log source for the audited runs; 'both' runs raw and "
-             "compacted and asserts bit-identical audit JSON",
     )
     audit_parser.add_argument(
         "--json", default=None, metavar="PATH",

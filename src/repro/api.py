@@ -187,7 +187,6 @@ def run_matrix(methods=None, workloads=PAPER_WORKLOADS, design=None, *,
 # ---------------------------------------------------------------------------
 
 _REQUEST_KINDS = ("sample", "matrix", "audit")
-_AUDIT_SOURCES = ("auto", "raw", "compacted")
 
 #: matrix_rows() columns whose values depend on wall-clock timing, not
 #: on the simulated machine.  Request payloads are content-addressed
@@ -211,7 +210,7 @@ class RunRequest:
     the ``REPRO_EXPERIMENT_SCALE`` default at construction, so the
     request — and its fingerprint — is always concrete).  Empty
     `methods` means the kind's default suite; empty `workloads` means
-    the paper's nine.  `source` pins the audit skip-log source.
+    the paper's nine.
     """
 
     kind: str = "sample"
@@ -220,7 +219,6 @@ class RunRequest:
     design: "str | None" = None
     cluster_jobs: int = 1
     jobs: "int | None" = None
-    source: str = "auto"
 
     def __post_init__(self) -> None:
         if self.kind not in _REQUEST_KINDS:
@@ -253,10 +251,6 @@ class RunRequest:
                 not isinstance(self.jobs, int) or self.jobs < 0):
             raise ValueError(
                 f"jobs must be an integer >= 0 or None, got {self.jobs!r}")
-        if self.source not in _AUDIT_SOURCES:
-            raise ValueError(
-                f"unknown audit source {self.source!r}; "
-                f"known: {', '.join(_AUDIT_SOURCES)}")
 
     # -- serialisation -----------------------------------------------------
 
@@ -269,7 +263,6 @@ class RunRequest:
             "design": self.design,
             "cluster_jobs": self.cluster_jobs,
             "jobs": self.jobs,
-            "source": self.source,
         }
 
     @classmethod
@@ -280,7 +273,7 @@ class RunRequest:
                 f"request payload must be a JSON object, "
                 f"got {type(payload).__name__}")
         known = {"kind", "workloads", "methods", "design",
-                 "cluster_jobs", "jobs", "source"}
+                 "cluster_jobs", "jobs"}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError(
@@ -295,16 +288,24 @@ class RunRequest:
         Two requests share a fingerprint exactly when they are
         guaranteed to produce byte-identical payloads, which makes the
         fingerprint a safe :class:`~repro.harness.ResultCache` key.
-        Execution knobs that cannot change results (`jobs`,
-        `cluster_jobs` — sharded folds are bit-identical to serial)
-        are excluded; the ambient checkpoint store
-        (``REPRO_CHECKPOINT_STORE``) is likewise absent because store
-        hits materialise exactly what a live Phase A scan would
+        `jobs` is excluded: matrix cells fold identically however many
+        run at once.  Cluster sharding is *not* result-neutral —
+        sharded IPCs differ from the serial walk's — so the identity
+        records whether the run shards
+        (:func:`~repro.sampling.pipeline.runs_sharded`): a matrix
+        request by its `cluster_jobs`, the other kinds by the ambient
+        ``REPRO_CLUSTER_JOBS`` they execute under.  The ambient
+        checkpoint store (``REPRO_CHECKPOINT_STORE``) is absent because
+        store hits materialise exactly what a live Phase A scan would
         produce — the payload is byte-identical either way.
         """
+        from .sampling.pipeline import runs_sharded
+
         identity = self.to_payload()
         identity.pop("jobs")
-        identity.pop("cluster_jobs")
+        cluster_jobs = identity.pop("cluster_jobs")
+        identity["sharded"] = runs_sharded(
+            cluster_jobs if self.kind == "matrix" else None)
         identity["code"] = code_version()
         blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -401,13 +402,10 @@ def _audit_reports(request: RunRequest) -> dict:
     from .harness.export import audit_to_json
     from .telemetry import Telemetry, merge_snapshots
 
-    overrides = {"REPRO_AUDIT": "1"}
-    if request.source != "auto":
-        overrides["REPRO_LOG_COMPACTION"] = request.source
-    saved = {name: os.environ.get(name) for name in overrides}
+    saved = os.environ.get("REPRO_AUDIT")
     reports = {}
     try:
-        os.environ.update(overrides)
+        os.environ["REPRO_AUDIT"] = "1"
         for workload_name in request.resolved_workloads():
             snapshots = []
             for method_name in request.resolved_methods():
@@ -417,11 +415,10 @@ def _audit_reports(request: RunRequest) -> dict:
             merged = merge_snapshots(snapshots)
             reports[workload_name] = json.loads(audit_to_json(merged))
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is None:
+            os.environ.pop("REPRO_AUDIT", None)
+        else:
+            os.environ["REPRO_AUDIT"] = saved
     return reports
 
 
@@ -454,7 +451,6 @@ def execute_request(request: RunRequest, *, executor=None,
                                         cache=cache, progress=progress)}
     else:
         payload = {"kind": "audit", "design": request.design,
-                   "source": request.source,
                    "reports": _audit_reports(request)}
     if cache is not None:
         cache.put(key, payload)

@@ -4,7 +4,6 @@ from .source import (
     ReconstructionSource,
     make_source,
     tail_cutoff,
-    COMPACTION_ENV_VAR,
 )
 from .compaction import CompactedSkipRegionLog
 from .logging import (
@@ -41,7 +40,6 @@ __all__ = [
     "ReconstructionSource",
     "make_source",
     "tail_cutoff",
-    "COMPACTION_ENV_VAR",
     "CompactedSkipRegionLog",
     "SkipRegionLog",
     "REF_LOAD",

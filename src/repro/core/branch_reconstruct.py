@@ -39,7 +39,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..branch import BranchPredictor
-from ..functional.machine import batch_core_enabled
 from ..telemetry import NULL_TELEMETRY
 from .counter_table import CounterInferenceTable, default_table
 from .ras_reconstruct import reconstruct_ras_from_source
@@ -52,12 +51,8 @@ class ReverseBranchReconstructor:
     def __init__(self, predictor: BranchPredictor,
                  table: CounterInferenceTable | None = None,
                  infer_counters: bool = True,
-                 telemetry=None,
-                 batched: bool | None = None) -> None:
+                 telemetry=None) -> None:
         self.predictor = predictor
-        #: Vectorized BTB-rebuild switch; None resolves ``REPRO_BATCH_CORE``
-        #: (the same default as the batched functional interpreter).
-        self.batched = batch_core_enabled() if batched is None else bool(batched)
         self.table = table if table is not None else default_table()
         #: Ablation switch: when False, PHT entries are marked reconstructed
         #: without writing inferred counter values (stale counters remain).
@@ -103,33 +98,7 @@ class ReverseBranchReconstructor:
             pht.set_history(ghr)
 
         # --- step 2: BTB, newest claimant wins ----------------------------
-        btb = predictor.btb
-        arrays = source.btb_claims_arrays(fraction) if self.batched else None
-        if arrays is not None:
-            # Vectorized: in a direct-mapped structure only each entry's
-            # newest claim writes — older claimants find the entry already
-            # reconstructed — so the winner set is the first occurrence of
-            # each entry index in the newest-first claim columns.  Winners
-            # go through the scalar primitive (identical state and
-            # `updates` accounting); losers never needed a call.  The
-            # telemetry counter keeps counting every scanned claim, as the
-            # scalar loop does.
-            pcs, targets = arrays
-            btb_writes = len(pcs)
-            if btb_writes:
-                entries = pcs & (btb.entries - 1)
-                _, first = np.unique(entries, return_index=True)
-                first.sort()
-                reconstruct = btb.reconstruct
-                for pc, target in zip(pcs[first].tolist(),
-                                      targets[first].tolist()):
-                    reconstruct(pc, target)
-        else:
-            btb_writes = 0
-            for pc, target in source.iter_btb_claims_reverse(fraction):
-                btb.reconstruct(pc, target)
-                btb_writes += 1
-        self._btb_counter.inc(btb_writes)
+        self._btb_counter.inc(self._rebuild_btb(source, fraction))
 
         # --- step 3: RAS ---------------------------------------------------
         self.ras_entries_recovered = reconstruct_ras_from_source(
@@ -152,6 +121,30 @@ class ReverseBranchReconstructor:
         self._conditionals = source.conditional_history(fraction,
                                                         history_bits)
         self._cursor = len(self._conditionals) - 1
+
+    def _rebuild_btb(self, source: ReconstructionSource,
+                     fraction: float) -> int:
+        """Apply the newest-first BTB claims; return how many were scanned.
+
+        In a direct-mapped structure only each entry's newest claim
+        writes — older claimants find the entry already reconstructed —
+        so the winner set is the first occurrence of each entry index in
+        the newest-first claim columns.  Winners go through the scalar
+        primitive (identical state and `updates` accounting); losers
+        never needed a call.  The per-claim loop survives as the test
+        oracle in ``tests/oracles.py``.
+        """
+        pcs, targets = source.btb_claims_arrays(fraction)
+        if len(pcs):
+            btb = self.predictor.btb
+            entries = pcs & (btb.entries - 1)
+            _, first = np.unique(entries, return_index=True)
+            first.sort()
+            reconstruct = btb.reconstruct
+            for pc, target in zip(pcs[first].tolist(),
+                                  targets[first].tolist()):
+                reconstruct(pc, target)
+        return len(pcs)
 
     # -- on-demand phase (during the cluster) ------------------------------
 

@@ -21,7 +21,7 @@ from .branch_reconstruct import ReverseBranchReconstructor
 from .cache_reconstruct import CacheReconstructionStats, ReverseCacheReconstructor
 from .counter_table import CounterInferenceTable, default_table
 from .logging import SkipRegionLog
-from .source import make_source, resolved_source_kind
+from .source import make_source
 
 
 class ReverseStateReconstruction(WarmupMethod):
@@ -39,7 +39,7 @@ class ReverseStateReconstruction(WarmupMethod):
         table: CounterInferenceTable | None = None,
         on_demand: bool = True,
         infer_counters: bool = True,
-        source: str = "auto",
+        source=None,
     ) -> None:
         super().__init__()
         if not 0.0 < fraction <= 1.0:
@@ -48,6 +48,10 @@ class ReverseStateReconstruction(WarmupMethod):
             )
         if not (warm_cache or warm_predictor):
             raise ValueError("at least one structure must be warmed")
+        if source is not None and not callable(source):
+            raise TypeError(
+                "source must be None (the compacted log) or a zero-argument "
+                f"factory returning a ReconstructionSource, got {source!r}")
         self.fraction = fraction
         self.warm_cache = warm_cache
         self.warm_predictor = warm_predictor
@@ -56,9 +60,9 @@ class ReverseStateReconstruction(WarmupMethod):
         #: False` skips counter inference (GHR/BTB/RAS repair only).
         self.on_demand = on_demand
         self.infer_counters = infer_counters
-        #: Skip-log source kind: "auto" (the REPRO_LOG_COMPACTION env var,
-        #: default compacted), "compacted", "raw", or a zero-argument
-        #: factory returning a ready ReconstructionSource.
+        #: Skip-log source: None builds the compacted log; a zero-argument
+        #: factory returning a ready ReconstructionSource replaces it (the
+        #: raw SkipRegionLog oracle is selected this way).
         self.source = source
         self.warms_cache = warm_cache
         self.warms_predictor = warm_predictor
@@ -93,17 +97,13 @@ class ReverseStateReconstruction(WarmupMethod):
             telemetry=self.telemetry,
         )
         self.cache_stats_history = []
-        # The bound machine's batch-core switch governs the reconstructors
-        # too, so one knob selects scalar or vectorized kernels run-wide.
-        batched = getattr(context.machine, "batched", None)
         self._cache_reconstructor = ReverseCacheReconstructor(
-            context.hierarchy, telemetry=self.telemetry, batched=batched
+            context.hierarchy, telemetry=self.telemetry
         )
         self._branch_reconstructor = ReverseBranchReconstructor(
             context.predictor, table=self._table,
             infer_counters=self.infer_counters,
             telemetry=self.telemetry,
-            batched=batched,
         )
 
     # -- skip region: cold execution + logging -------------------------------
@@ -148,8 +148,8 @@ class ReverseStateReconstruction(WarmupMethod):
 
         The surrendered source is prepared for pickling (telemetry
         stripped — see :meth:`ReconstructionSource.handoff`); the
-        replacement is built with the same kind and geometry, so the cold
-        scan keeps logging seamlessly.
+        replacement is built from the same factory and geometry, so the
+        cold scan keeps logging seamlessly.
         """
         filled = self.log.handoff()
         self.log = make_source(
@@ -171,15 +171,12 @@ class ReverseStateReconstruction(WarmupMethod):
     def store_identity(self) -> "dict | None":
         """Checkpoint-store identity: every knob shaping the cold scan.
 
-        None for callable source factories — a third-party source has no
-        stable identity the store could key on, so those runs are simply
-        not persisted.  The resolved source kind (raw vs compacted) is
-        part of the identity because the two log representations produce
-        different shard payloads; `max_history` matters because the
-        compacted engine sizes its PHT windows to it.
+        None for source factories — a factory's source has no stable
+        identity the store could key on, so those runs are simply not
+        persisted.  `max_history` matters because the compacted engine
+        sizes its PHT windows to it.
         """
-        source_kind = resolved_source_kind(self.source)
-        if source_kind is None:
+        if self.source is not None:
             return None
         table = self._table if self._table is not None else default_table()
         return {
@@ -190,7 +187,6 @@ class ReverseStateReconstruction(WarmupMethod):
             "warm_predictor": self.warm_predictor,
             "on_demand": self.on_demand,
             "infer_counters": self.infer_counters,
-            "source": source_kind,
             "max_history": table.max_history,
         }
 

@@ -8,33 +8,23 @@ Reverse State Reconstruction separates two roles that the original
 - **consuming** it: the reverse-scan queries the cache, branch, and RAS
   reconstructors run immediately before (and during) the next cluster.
 
-:class:`ReconstructionSource` names that contract.  Two implementations
-ship with the package — the raw tuple-list :class:`~repro.core.logging.
-SkipRegionLog` (a faithful rendering of the paper's "log of all
-references") and the online-compacted
-:class:`~repro.core.compaction.CompactedSkipRegionLog`, which performs
-the reverse-scan dedup *while logging* so that reconstruction work is
-O(unique entries) instead of O(gap length).  Both are drop-in
-interchangeable: every consumer query is defined so that the compacted
-answers are bit-identical to a reverse scan of the raw stream
+:class:`ReconstructionSource` names that contract.  Production runs use
+the online-compacted :class:`~repro.core.compaction.
+CompactedSkipRegionLog`, which performs the reverse-scan dedup *while
+logging* so that reconstruction work is O(unique entries) instead of
+O(gap length).  The raw tuple-list :class:`~repro.core.logging.
+SkipRegionLog` — a faithful rendering of the paper's "log of all
+references" — stays as the reference the compacted answers are checked
+against: every consumer query is defined so that the compacted answers
+are bit-identical to a reverse scan of the raw stream
 (docs/rsr-algorithm.md, "Online log compaction").
 
-Third-party warm-up methods can supply their own source by implementing
-this interface and passing a factory to
+Any other source — the raw log included — is selected by passing a
+zero-argument factory to
 :class:`~repro.core.method.ReverseStateReconstruction`.
 """
 
 from __future__ import annotations
-
-import os
-
-#: Environment variable selecting the default source kind for
-#: ``kind="auto"``: any of ``off``/``0``/``raw``/``false`` selects the
-#: raw tuple-list log, everything else (including unset) the compacted
-#: engine.
-COMPACTION_ENV_VAR = "REPRO_LOG_COMPACTION"
-
-_RAW_SENTINELS = frozenset({"off", "0", "raw", "false", "no"})
 
 
 def tail_cutoff(count: int, fraction: float) -> int:
@@ -118,17 +108,14 @@ class ReconstructionSource:
         raise NotImplementedError
 
     def memory_reverse_arrays(self, fraction: float):
-        """Bulk form of :meth:`iter_memory_reverse`, or None.
+        """Bulk form of :meth:`iter_memory_reverse`.
 
-        Returns ``(addresses, kinds)`` — two parallel numpy arrays
-        (int64/uint8) holding exactly the sequence
-        :meth:`iter_memory_reverse` would yield, newest first — so the
-        vectorized reverse reconstructor can filter whole reference
-        columns at once.  The default returns None, which tells consumers
-        to fall back to the scalar iterator; sources that can materialize
-        their tail cheaply override this.
+        Returns ``(addresses, kinds)`` — two parallel integer numpy
+        arrays holding exactly the sequence :meth:`iter_memory_reverse`
+        would yield, newest first — so the reverse reconstructor can
+        filter whole reference columns at once.
         """
-        return None
+        raise NotImplementedError
 
     def recent_conditional_outcomes(self, fraction: float,
                                     limit: int) -> list:
@@ -142,13 +129,13 @@ class ReconstructionSource:
         raise NotImplementedError
 
     def btb_claims_arrays(self, fraction: float):
-        """Bulk form of :meth:`iter_btb_claims_reverse`, or None.
+        """Bulk form of :meth:`iter_btb_claims_reverse`.
 
         Returns ``(pcs, targets)`` — parallel int64 numpy arrays holding
         exactly the claims :meth:`iter_btb_claims_reverse` would yield,
-        newest first.  None (the default) selects the scalar iterator.
+        newest first.
         """
-        return None
+        raise NotImplementedError
 
     def ras_tail_contents(self, fraction: float, capacity: int) -> list:
         """Final RAS contents (top first, at most `capacity`) implied by
@@ -207,48 +194,23 @@ class ReconstructionSource:
         self.telemetry = telemetry
 
 
-def resolved_source_kind(kind: str = "auto") -> "str | None":
-    """The concrete source kind `kind` resolves to, without building one.
-
-    ``"auto"`` consults ``REPRO_LOG_COMPACTION`` exactly as
-    :func:`make_source` does; concrete kinds pass through unchanged.  A
-    callable factory resolves to None — its output has no stable
-    identity, which tells content-addressed stores (checkpoint-store
-    keys) the run is not storable.
-    """
-    if callable(kind):
-        return None
-    if kind == "auto":
-        setting = os.environ.get(COMPACTION_ENV_VAR, "").strip().lower()
-        return "raw" if setting in _RAW_SENTINELS else "compacted"
-    return kind
-
-
-def make_source(kind: str = "auto", *, context=None, fraction: float = 1.0,
+def make_source(factory=None, *, context=None, fraction: float = 1.0,
                 warm_cache: bool = True, warm_predictor: bool = True,
                 table=None, telemetry=None) -> ReconstructionSource:
     """Build a reconstruction source for one bound warm-up method.
 
-    `kind` is ``"compacted"``, ``"raw"``, ``"auto"`` (the
-    ``REPRO_LOG_COMPACTION`` environment variable, default compacted), or
-    a zero-argument factory returning a ready :class:`ReconstructionSource`
-    (the third-party extension point).  For the compacted engine,
-    `context` supplies the geometry the last-touch indexes are sized to:
-    the finest cache line granularity, the PHT index mask and GHR width,
-    and the counter-inference window depth from `table`.
+    `factory`, when given, is a zero-argument callable returning a ready
+    :class:`ReconstructionSource` (the extension point, and how tests
+    and benches select the raw :class:`~repro.core.logging.SkipRegionLog`);
+    the source adopts `telemetry` like the compacted one.  Otherwise the
+    compacted engine is built, sized from `context`: the finest cache
+    line granularity, the PHT index mask and GHR width, and the
+    counter-inference window depth from `table`.
     """
-    if callable(kind):
-        return kind()
-    kind = resolved_source_kind(kind)
-    if kind == "raw":
-        from .logging import SkipRegionLog
-
-        return SkipRegionLog(telemetry=telemetry)
-    if kind != "compacted":
-        raise ValueError(
-            f"unknown reconstruction source kind {kind!r}; "
-            "known: auto, compacted, raw"
-        )
+    if factory is not None:
+        source = factory()
+        source.adopt_telemetry(telemetry)
+        return source
 
     from .compaction import CompactedSkipRegionLog
     from .counter_table import default_table

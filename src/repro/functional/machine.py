@@ -19,7 +19,6 @@ experiment.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..isa import Opcode, Program, NUM_REGISTERS, LINK_REGISTER, STACK_POINTER
@@ -29,29 +28,14 @@ from .predecode import predecode_program
 _MASK64 = (1 << 64) - 1
 _SIGN_BIT = 1 << 63
 
-#: Environment variable selecting the bulk-execution engine used by
-#: :meth:`FunctionalMachine.run`: any of ``off``/``0``/``scalar``/
-#: ``false``/``no`` selects the per-step scalar reference loop,
-#: everything else (including unset) the batched span interpreter.
-BATCH_CORE_ENV_VAR = "REPRO_BATCH_CORE"
-
-_SCALAR_SENTINELS = frozenset({"off", "0", "scalar", "false", "no"})
-
-
-def batch_core_enabled() -> bool:
-    """Resolve ``REPRO_BATCH_CORE`` (unset means batched)."""
-    setting = os.environ.get(BATCH_CORE_ENV_VAR, "").strip().lower()
-    return setting not in _SCALAR_SENTINELS
-
-
 def to_signed(value: int) -> int:
     """Interpret a 64-bit unsigned value as two's-complement signed."""
     return value - (1 << 64) if value & _SIGN_BIT else value
 
 
-# Plain-int opcode values for the batched span interpreter: comparing a
-# list element against a cached small int avoids the enum identity check
-# and attribute traffic of the scalar chain.  Ordered here roughly by
+# Plain-int opcode values for the span interpreter: comparing a list
+# element against a cached small int avoids the enum identity check and
+# attribute traffic of the :meth:`FunctionalMachine.step` chain.  Ordered here roughly by
 # dynamic frequency in the nine workload generators.
 _OP_ADDI = int(Opcode.ADDI)
 _OP_ADD = int(Opcode.ADD)
@@ -144,20 +128,11 @@ class FunctionalMachine:
         The workload image to execute.
     memory:
         Optional pre-initialised memory (workload generators seed arrays).
-    batched:
-        Bulk-execution engine for :meth:`run`: True selects the batched
-        span interpreter (:meth:`run_batch`), False the per-step scalar
-        reference loop (:meth:`run_scalar`).  None (the default) resolves
-        ``REPRO_BATCH_CORE`` at construction, so the choice propagates
-        into shard workers through their environment.  Both engines are
-        bit-identical (tests/test_machine_batched.py).
     """
 
-    def __init__(self, program: Program, memory: Memory | None = None,
-                 batched: bool | None = None) -> None:
+    def __init__(self, program: Program, memory: Memory | None = None) -> None:
         self.program = program
         self.memory = memory if memory is not None else Memory()
-        self.batched = batch_core_enabled() if batched is None else bool(batched)
         self.registers: list[int] = [0] * NUM_REGISTERS
         self.registers[STACK_POINTER] = program.stack_base
         self.pc = program.entry
@@ -355,9 +330,18 @@ class FunctionalMachine:
     ) -> int:
         """Execute up to `count` instructions; return how many retired.
 
-        Dispatches to :meth:`run_batch` or :meth:`run_scalar` according
-        to :attr:`batched`; the two engines produce bit-identical
-        architectural state, hook-call sequences, and ifetch continuity.
+        Executes the predecoded program (:mod:`repro.functional.
+        predecode`) in straight-line ALU/NOP spans: operand columns are
+        indexed directly, no :class:`StepResult` is written, and ifetch
+        block crossings within a span are computed arithmetically instead
+        of being checked per instruction.  Memory references and control
+        transfers are executed inline with their hook calls, in program
+        order; HALT (and any instruction whose operands overflowed the
+        predecode columns) falls back to :meth:`step`.  A span contains
+        no memory or branch hooks by construction, so firing its block
+        crossings in ascending pc order reproduces exactly the hook
+        sequence of stepping one instruction at a time — the per-step
+        oracle in ``tests/oracles.py`` checks that differentially.
 
         Parameters
         ----------
@@ -378,94 +362,6 @@ class FunctionalMachine:
             observed call ended in does not re-report it (the controller
             invokes :meth:`run` once per phase, and a phase boundary is
             not a fetch).
-        """
-        if self.batched:
-            return self.run_batch(count, mem_hook, branch_hook, ifetch_hook,
-                                  ifetch_block_bytes)
-        return self.run_scalar(count, mem_hook, branch_hook, ifetch_hook,
-                               ifetch_block_bytes)
-
-    def run_scalar(
-        self,
-        count: int,
-        mem_hook=None,
-        branch_hook=None,
-        ifetch_hook=None,
-        ifetch_block_bytes: int = 64,
-    ) -> int:
-        """The per-step reference engine (see :meth:`run` for the contract).
-
-        Every instruction goes through :meth:`step`; hooks fire inline.
-        Kept verbatim as the semantic baseline the batched engine is
-        differentially fuzzed against.
-        """
-        executed = 0
-        step = self.step
-        program = self.program
-        instruction_bytes = program.instruction_bytes
-        code_base = program.code_base
-        per_block = max(1, ifetch_block_bytes // instruction_bytes)
-        stored_per_block, stored_block = self._last_fetch
-        last_fetch_block = stored_block if stored_per_block == per_block else -1
-        pc_before = -1
-
-        while executed < count and not self.halted:
-            pc_before = self.pc
-            if ifetch_hook is not None:
-                fetch_block = pc_before // per_block
-                if fetch_block != last_fetch_block:
-                    last_fetch_block = fetch_block
-                    ifetch_hook(code_base + pc_before * instruction_bytes)
-            result = step()
-            executed += 1
-            if result.halted:
-                break
-            if result.mem_address >= 0 and mem_hook is not None:
-                mem_hook(
-                    result.index, result.next_index,
-                    result.mem_address,
-                    program.instructions[result.index].is_store,
-                )
-            if branch_hook is not None:
-                inst = program.instructions[result.index]
-                if inst.is_control:
-                    branch_hook(
-                        result.index, result.next_index, inst, result.taken
-                    )
-        if executed:
-            if ifetch_hook is not None:
-                # The last executed instruction's block is, by induction,
-                # the last one reported; remember it for the next phase.
-                self._last_fetch = (per_block, pc_before // per_block)
-            else:
-                # Blocks were fetched unobserved; continuity is broken.
-                self.invalidate_fetch_block()
-        return executed
-
-    def run_batch(
-        self,
-        count: int,
-        mem_hook=None,
-        branch_hook=None,
-        ifetch_hook=None,
-        ifetch_block_bytes: int = 64,
-    ) -> int:
-        """Batched span engine (see :meth:`run` for the contract).
-
-        Executes the predecoded program (:mod:`repro.functional.
-        predecode`) in straight-line ALU/NOP spans: operand columns are
-        indexed directly, no :class:`StepResult` is written, and ifetch
-        block crossings within a span are computed arithmetically instead
-        of being checked per instruction.  Execution falls back to
-        :meth:`step` at every *boundary* instruction — memory references
-        and control transfers, whose observation hooks must interleave
-        with execution order, plus HALT — so all non-trivial semantics
-        live in exactly one place.
-
-        Hook-call sequences are identical to the scalar engine's: a span
-        contains no memory or branch hooks by construction, so firing its
-        block crossings in ascending pc order reproduces the interleaved
-        scalar order exactly.
         """
         if count <= 0 or self.halted:
             return 0
@@ -609,7 +505,7 @@ class FunctionalMachine:
 
             # ---- boundary instruction -------------------------------------
             # Memory references and control transfers are inlined with
-            # their hook calls in scalar order; HALT (and any instruction
+            # their hook calls in program order; HALT (and any instruction
             # whose operands overflowed the predecode columns) falls back
             # to step(), keeping its bookkeeping in one place.
             if ifetch_hook is not None:

@@ -1,15 +1,15 @@
 """Predecoded program representation (columnar decode cache).
 
-The scalar interpreter reads one :class:`~repro.isa.instructions.
-Instruction` object per step and pays an attribute lookup for every
-operand field.  The batched interpreter in
-:meth:`~repro.functional.machine.FunctionalMachine.run_batch` instead
+:meth:`~repro.functional.machine.FunctionalMachine.step` reads one
+:class:`~repro.isa.instructions.Instruction` object per step and pays an
+attribute lookup for every operand field.  The span interpreter in
+:meth:`~repro.functional.machine.FunctionalMachine.run` instead
 executes over *parallel columns* — one typed array per operand field —
 decoded once per :class:`~repro.isa.program.Program`:
 
 - ``ops``/``rds``/``rs1s``/``rs2s`` (``array('h')``/``array('B')``) and
   ``imms``/``targets`` (``array('q')``) hold the operand fields;
-- ``boundary`` marks instructions the batched span loop must leave to
+- ``boundary`` marks instructions the span loop must leave to
   the boundary handler: memory references and control transfers (which
   fire observation hooks) and HALT;
 - ``span_end[i]`` is the index of the first boundary instruction at or

@@ -14,7 +14,7 @@ task order.  This module lifts that interface out of the hard-wired
 ``threads``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  Tasks share the
     interpreter (no pickling), so it suits workloads dominated by the
-    numpy batch core, and it is the default engine behind the
+    numpy reverse scans, and it is the default engine behind the
     :func:`repro.api.submit` background handles.
 ``pool``
     The historical behavior: a ``ProcessPoolExecutor`` fan-out with

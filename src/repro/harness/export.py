@@ -113,8 +113,7 @@ def audit_to_json(snapshot, indent: int = 2) -> str:
     and is serialised with sorted keys, so two runs that reconstruct
     identical state produce byte-identical text.  That is the form in
     which the raw==compacted and serial==parallel equivalence claims
-    are asserted, by the test suite and by ``repro audit --source
-    both``.
+    are asserted by the test suite.
     """
     payload = {
         "schema": "repro-audit-v1",

@@ -33,11 +33,11 @@ import contextlib
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..sampling import SampledRunResult, SampledSimulator, SimulatorConfigs, TrueRunResult
+from ..sampling.pipeline import runs_sharded
 from ..telemetry import (
     EMPTY_SNAPSHOT,
     EVENT_CELL,
@@ -109,16 +109,13 @@ class CellSpec:
         # the merged profile (and vice versa would waste snapshot bytes).
         # Audited runs are distinct again — their snapshots carry audit
         # records a merely-traced run lacks.  Sharded runs are distinct
-        # too: shards start clusters from reconstruction-only state, so
-        # their IPCs legitimately differ from the serial walk's (but the
-        # key deliberately ignores *how many* workers sharded a run —
-        # any jobs > 1 executes the identical two-phase schedule).
+        # too (see runs_sharded).
         kind = "cell+telemetry" if collection_enabled() else "cell"
         if audit_enabled():
             kind += "+audit"
         if spans_enabled():
             kind += "+spans"
-        if self.cluster_jobs > 1:
+        if runs_sharded(self.cluster_jobs):
             kind += "+shards"
         return cache_key(kind, self.workload_name, self.scale,
                          self.configs, self.method_name)
@@ -529,18 +526,3 @@ def execute_matrix(
         grid[workload_name] = experiment
     return grid
 
-
-def run_matrix_parallel(*args, **kwargs) -> dict[str, WorkloadExperiment]:
-    """Deprecated name for :func:`execute_matrix`.
-
-    Kept as a thin shim over the executor protocol so existing callers
-    keep working unchanged; new code should go through
-    :func:`repro.api.run_matrix` / :func:`repro.api.submit` (the
-    supported facade) or :func:`execute_matrix` directly.
-    """
-    warnings.warn(
-        "run_matrix_parallel is deprecated; use repro.api.run_matrix / "
-        "repro.api.submit, or repro.harness.execute_matrix",
-        DeprecationWarning, stacklevel=2,
-    )
-    return execute_matrix(*args, **kwargs)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import pickle
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from ..branch import BranchPredictor
@@ -173,9 +172,7 @@ class LivePointLibrary:
 
     #: Payload format marker for :meth:`save` / :meth:`load`.  Version 1
     #: wraps the library in a manifest-style envelope written through
-    #: the checkpoint store's atomic serialization helpers; version 0 is
-    #: the historical bare ``pickle.dump(self)`` layout, still loadable
-    #: through the legacy shim (with a DeprecationWarning).
+    #: the checkpoint store's atomic serialization helpers.
     PAYLOAD_VERSION = 1
 
     def save(self, path) -> None:
@@ -204,10 +201,10 @@ class LivePointLibrary:
         """Load a library saved by :meth:`save`.
 
         Cross-checks the envelope's content digest and point count
-        before trusting the payload; a bare-pickle file from an older
-        version still loads, with a :class:`DeprecationWarning` asking
-        for a re-save.  Only load files you created yourself: pickle
-        executes arbitrary code on malicious inputs.
+        before trusting the payload; anything else — including the bare
+        pickle older versions wrote — raises :class:`TypeError`.  Only
+        load files you created yourself: pickle executes arbitrary code
+        on malicious inputs.
         """
         from ..store.serialization import (
             CorruptEntryError,
@@ -216,15 +213,6 @@ class LivePointLibrary:
         )
 
         value, _ = read_pickle(path)
-        if isinstance(value, LivePointLibrary):
-            # Legacy (version 0) bare-pickle layout.
-            warnings.warn(
-                f"{path} uses the legacy bare-pickle live-points layout; "
-                f"re-save it with LivePointLibrary.save for the "
-                f"digest-checked envelope",
-                DeprecationWarning, stacklevel=2,
-            )
-            return value
         if (not isinstance(value, dict)
                 or value.get("format") != "repro-livepoints"):
             raise TypeError("file does not contain a LivePointLibrary")

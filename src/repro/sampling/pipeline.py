@@ -112,6 +112,19 @@ def resolve_cluster_jobs(explicit: int | None = None) -> int:
     return jobs
 
 
+def runs_sharded(explicit: int | None = None) -> bool:
+    """Whether a run with this cluster-jobs setting takes the sharded path.
+
+    Sharded IPCs differ from the serial walk's (shards start clusters
+    from reconstruction-only state), so every result-cache key that can
+    hold either kind of run keys on this — never on the unresolved
+    setting, where ``0`` means one worker per CPU.  How *many* workers
+    shard a run does not matter: any count above one executes the same
+    two-phase schedule.
+    """
+    return resolve_cluster_jobs(explicit) > 1
+
+
 def cluster_geometry(position: int, cluster_start: int,
                      detail_ramp: int) -> tuple[int, int]:
     """The controller's ramp-borrowing arithmetic for one cluster.

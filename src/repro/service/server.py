@@ -46,6 +46,7 @@ service needs no extra dependencies to deploy.
 from __future__ import annotations
 
 import json
+import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -387,14 +388,29 @@ class SimulationService:
         self._http_thread.start()
 
     def serve_forever(self) -> None:
-        """Blocking entry point for ``repro serve``."""
-        self.start()
+        """Blocking entry point for ``repro serve``: run until SIGINT,
+        SIGTERM, or :meth:`stop`.
+
+        Starts the service unless it already runs.  On the main thread
+        both signals get a handler that sets the stop event: a process
+        launched from a background shell inherits SIGINT as *ignored*,
+        and SIGTERM's default action would skip the shutdown below.
+        The loop polls the event with ``is_set`` (lock-free), so the
+        handler never contends for a lock the interrupted code holds.
+        """
+        if self._httpd is None:
+            self.start()
+        previous = {}
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                previous[signum] = signal.signal(
+                    signum, lambda *_: self._stop.set())
         try:
             while not self._stop.is_set():
-                self._stop.wait(1.0)
-        except KeyboardInterrupt:
-            pass
+                time.sleep(0.1)
         finally:
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
             self.stop()
 
     def stop(self) -> None:

@@ -7,8 +7,6 @@ from repro.harness import SCALES
 from repro.sampling import SampledRunResult, SamplingRegimen
 from repro.warmup import (
     NoWarmup,
-    WarmupMethod,
-    make_method,
     method_factory,
     register_method,
     registered_method_names,
@@ -75,11 +73,6 @@ class TestRegistry:
     def test_factory_must_be_callable(self):
         with pytest.raises(TypeError):
             register_method("NotCallable", object())
-
-    def test_make_method_shim_still_works(self):
-        method = make_method("R$BP (20%)")
-        assert isinstance(method, WarmupMethod)
-        assert method.name == "R$BP (20%)"
 
 
 class TestResolveDesign:

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.analysis import reference_trajectory_for
-from repro.core import ReverseStateReconstruction
+from repro.core import ReverseStateReconstruction, SkipRegionLog
 from repro.harness.experiment import SCALES, run_matrix
 from repro.harness.export import audit_to_json, save_audit
 from repro.harness.parallel import execute_matrix, merged_telemetry
@@ -19,8 +19,8 @@ from repro.harness.reporting import (
     format_audit_report,
 )
 from repro.sampling import SampledSimulator
-from repro.telemetry import RECORD_AUDIT, Telemetry, audit_enabled
-from repro.warmup import SmartsWarmup, make_method
+from repro.telemetry import RECORD_AUDIT, Telemetry, audit_enabled, merge_snapshots
+from repro.warmup import SmartsWarmup, resolve_method
 from repro.workloads import build_workload
 
 CI = SCALES["ci"]
@@ -29,7 +29,7 @@ METHOD_NAMES = ("S$BP", "R$BP (100%)")
 
 def audit_suite():
     """Picklable module-level method factory (crosses the pool boundary)."""
-    return [make_method(name) for name in METHOD_NAMES]
+    return [resolve_method(name) for name in METHOD_NAMES]
 
 
 def make_simulator(workload_name="ammp", telemetry=Telemetry):
@@ -48,7 +48,6 @@ def audit_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_AUDIT", "1")
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-    monkeypatch.delenv("REPRO_LOG_COMPACTION", raising=False)
     monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "cache"))
     return tmp_path
 
@@ -146,10 +145,10 @@ class TestSourceEquivalence:
     def test_raw_and_compacted_audits_bit_identical(self, audit_env,
                                                     fraction):
         texts = {}
-        for source in ("raw", "compacted"):
+        for source, factory in (("raw", SkipRegionLog), ("compacted", None)):
             _, snapshot = run_audited(
                 ReverseStateReconstruction(fraction=fraction,
-                                           source=source)
+                                           source=factory)
             )
             texts[source] = audit_to_json(snapshot)
         assert texts["raw"] == texts["compacted"]
@@ -157,16 +156,33 @@ class TestSourceEquivalence:
         assert payload["schema"] == "repro-audit-v1"
         assert len(payload["clusters"]) == CI.regimen().num_clusters
 
-    def test_compaction_env_composes(self, audit_env, monkeypatch):
-        """REPRO_AUDIT + REPRO_LOG_COMPACTION: the env-selected source
-        produces the same audit as the explicitly pinned one."""
-        monkeypatch.setenv("REPRO_LOG_COMPACTION", "1")
-        _, via_env = run_audited(ReverseStateReconstruction(0.4))
-        monkeypatch.delenv("REPRO_LOG_COMPACTION")
-        _, pinned = run_audited(
-            ReverseStateReconstruction(0.4, source="compacted")
-        )
-        assert audit_to_json(via_env) == audit_to_json(pinned)
+    @pytest.mark.parametrize("workload_name,cluster_jobs,methods", [
+        ("ammp", None, ("rsr", "smarts")),
+        ("mcf", 2, ("rsr",)),
+    ], ids=["ammp-serial", "mcf-sharded"])
+    def test_audit_report_json_identical_for_raw_log(
+            self, audit_env, monkeypatch, workload_name, cluster_jobs,
+            methods):
+        """The `repro audit` report (serial on ammp, sharded on mcf) is
+        byte-equal when R$BP reads the raw SkipRegionLog instead of the
+        compacted log; the sharded rows come from the shard workers."""
+        monkeypatch.delenv("REPRO_CLUSTER_JOBS", raising=False)
+        texts = {}
+        for source, factory in (("raw", SkipRegionLog), ("compacted", None)):
+            simulator = make_simulator(workload_name)
+            simulator.cluster_jobs = cluster_jobs
+            snapshots = []
+            for name in methods:
+                method = resolve_method(name)
+                if isinstance(method, ReverseStateReconstruction):
+                    method = ReverseStateReconstruction(source=factory)
+                snapshots.append(
+                    simulator.run(method).extra.get("telemetry"))
+            texts[source] = audit_to_json(merge_snapshots(snapshots))
+        assert texts["raw"] == texts["compacted"]
+        clusters = json.loads(texts["raw"])["clusters"]
+        assert sorted({row["cluster"] for row in clusters}) == \
+            list(range(CI.regimen().num_clusters))
 
 
 class TestParallelEquivalence:

@@ -1,10 +1,12 @@
-"""End-to-end equivalence: batched vs scalar core through full runs.
+"""End-to-end equivalence: the production core vs the oracles in full runs.
 
-The batch core (`REPRO_BATCH_CORE`) swaps the functional interpreter and
-the reverse-reconstruction scans for vectorized kernels; nothing about
-the simulated machine may change.  These tests run complete sampled
-simulations both ways — raw and compacted skip-log sources, serial and
-cluster-sharded topologies — and require bit-identical per-cluster IPCs,
+Production runs the span interpreter and vectorized reverse scans; the
+per-step interpreter and per-reference scans in `tests.oracles` are the
+literal forms they must equal.  These tests run complete sampled
+simulations both ways (`oracle_core` patches the oracles in) — raw and
+compacted skip-log sources, serial and cluster-sharded topologies; the
+sharded runs prove the patch reaches forked shard workers — and require
+bit-identical per-cluster IPCs,
 identical WarmupCost ledgers, identical IPC estimates, and identical
 telemetry event counters (which subsume the gap-log record counts and
 the reconstruction scan/apply/skip accounting).
@@ -15,18 +17,21 @@ this tier-1 subset keeps the guarantee under the fast test suite.
 
 from __future__ import annotations
 
-import os
+import contextlib
+import multiprocessing
 
 import pytest
 
-from repro.core import ReverseStateReconstruction
+from repro.core import ReverseStateReconstruction, SkipRegionLog
 from repro.harness import scale_from_env
 from repro.sampling import SampledSimulator
 from repro.telemetry import Telemetry
 from repro.workloads import build_workload
+from tests.oracles import oracle_core
 
 WORKLOADS = ("gcc", "mcf")
-SOURCES = ("raw", "compacted")
+#: Skip-log source factories by name (None: the production compacted log).
+SOURCES = {"raw": SkipRegionLog, "compacted": None}
 TOPOLOGIES = {"serial": None, "sharded": 2}
 
 
@@ -40,17 +45,10 @@ def _run(workload_name: str, source: str, cluster_jobs, batched: bool):
         telemetry=Telemetry,
         cluster_jobs=cluster_jobs,
     )
-    previous = os.environ.get("REPRO_BATCH_CORE")
-    os.environ["REPRO_BATCH_CORE"] = "on" if batched else "off"
-    try:
+    with contextlib.nullcontext() if batched else oracle_core():
         result = simulator.run(
-            ReverseStateReconstruction(fraction=1.0, source=source)
+            ReverseStateReconstruction(fraction=1.0, source=SOURCES[source])
         )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_BATCH_CORE", None)
-        else:
-            os.environ["REPRO_BATCH_CORE"] = previous
     snapshot = result.extra["telemetry"]
     return {
         "cluster_ipcs": result.cluster_ipcs,
@@ -65,6 +63,9 @@ def _run(workload_name: str, source: str, cluster_jobs, batched: bool):
 @pytest.mark.parametrize("workload_name", WORKLOADS)
 def test_batched_run_is_bit_identical(workload_name, source, topology):
     cluster_jobs = TOPOLOGIES[topology]
+    if cluster_jobs:
+        # Shard workers see the oracle patch only when forked.
+        assert multiprocessing.get_start_method() == "fork"
     scalar = _run(workload_name, source, cluster_jobs, batched=False)
     batched = _run(workload_name, source, cluster_jobs, batched=True)
     label = f"{workload_name}/{source}/{topology}"

@@ -285,31 +285,45 @@ class TestAuditCommand:
         args = build_parser().parse_args(["audit", "ammp"])
         assert args.command == "audit"
         assert args.method is None
-        assert args.source == "auto"
         assert args.json is None
 
     def test_audit_parser_flags(self):
         args = build_parser().parse_args(
-            ["audit", "gcc", "--method", "rsr", "--source", "both",
+            ["audit", "gcc", "--method", "rsr",
              "--json", "audit.json", "--scale", "ci"],
         )
         assert args.method == ["rsr"]
-        assert args.source == "both"
         assert args.json == "audit.json"
 
     def test_audit_rejects_unknown_source(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["audit", "ammp", "--source", "x"])
+        # The skip-log source is not a CLI choice: audits always run the
+        # production compacted log.
+        for source in ("x", "raw", "both"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["audit", "ammp", "--source",
+                                           source])
 
-    def test_audit_reports_attribution(self, capsys, monkeypatch):
+    def test_submit_has_no_source_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["submit", "audit", "--source", "raw"])
+
+    def test_audit_reports_attribution(self, capsys, monkeypatch,
+                                       tmp_path):
+        import json
+
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        assert main(["audit", "ammp", "--method", "rsr"]) == 0
+        path = tmp_path / "audit.json"
+        assert main(["audit", "ammp", "--method", "rsr",
+                     "--json", str(path)]) == 0
         out = capsys.readouterr().out
         assert "accuracy audit" in out
         assert "cold err" in out and "samp err" in out
         assert "error attribution per method" in out
         assert "R$BP (100%)" in out
+        payload = json.loads(path.read_text())
+        assert payload["schema"] == "repro-audit-v1"
+        assert payload["clusters"]
 
     def test_audit_env_is_restored(self, capsys, monkeypatch):
         import os
@@ -318,20 +332,6 @@ class TestAuditCommand:
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
         assert main(["audit", "ammp", "--method", "smarts"]) == 0
         assert "REPRO_AUDIT" not in os.environ
-
-    def test_audit_source_both_asserts_equivalence(
-            self, capsys, monkeypatch, tmp_path):
-        import json
-
-        monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
-        path = tmp_path / "audit.json"
-        assert main(["audit", "ammp", "--method", "rsr",
-                     "--source", "both", "--json", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "bit-identical audit JSON" in out
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro-audit-v1"
-        assert payload["clusters"]
 
     def test_audit_unknown_method_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")

@@ -24,7 +24,7 @@ from repro.harness.experiment import (
     true_run_for,
 )
 from repro.sampling import SimulatorConfigs
-from repro.warmup import make_method
+from repro.warmup import resolve_method
 
 CI = SCALES["ci"]
 
@@ -87,7 +87,7 @@ class TestTrueRunConfigs:
     def test_experiment_scored_against_matching_baseline(self):
         configs = tiny_configs()
         experiment = run_workload_experiment(
-            "ammp", [make_method("None")], CI, configs=configs,
+            "ammp", [resolve_method("None")], CI, configs=configs,
         )
         assert experiment.true_run == true_run_for("ammp", CI, configs)
         assert experiment.true_run != true_run_for("ammp", CI)

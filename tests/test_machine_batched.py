@@ -1,10 +1,11 @@
-"""Differential fuzz: the batched interpreter against the scalar baseline.
+"""Differential fuzz: the span interpreter against the per-step oracle.
 
-The batched core (`FunctionalMachine.run_batch`) must be architecturally
-indistinguishable from the scalar `step()` loop: same registers, pc,
-memory image, retired count, halt flag, and the same observation-hook
-call sequence — for every workload, chunk size, and hook configuration.
-These tests drive both engines side by side over randomized programs
+The production interpreter (`FunctionalMachine.run`) must be
+architecturally indistinguishable from the `step()` loop kept as
+`tests.oracles.run_scalar`: same registers, pc, memory image, retired
+count, halt flag, and the same observation-hook call sequence — for
+every workload, chunk size, and hook configuration.  These tests drive
+both engines side by side over randomized programs
 from all nine paper workload generators plus directed corner cases
 (forced `step()` fallback via poisoned predecode columns, signed DIV
 semantics, halted-machine checkpoints, tail-fraction validation).
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from functools import partial
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.functional.predecode import predecode_program
 from repro.isa import Instruction, Opcode, Program
 from repro.warmup import register_method, unregister_method
 from repro.workloads import PAPER_WORKLOADS, build_workload
+from tests.oracles import oracle_core, run_scalar
 
 _MASK64 = (1 << 64) - 1
 INT64_MIN = -(1 << 63)
@@ -64,9 +67,8 @@ def run_differential(program, memory, *, seed: int, total: int) -> None:
     the full architectural state must match, and at the end the hook
     traces must be identical element for element.
     """
-    scalar = FunctionalMachine(program, memory.copy(), batched=False)
-    batched = FunctionalMachine(program, memory.copy(), batched=True)
-    assert scalar.batched is False and batched.batched is True
+    scalar = FunctionalMachine(program, memory.copy())
+    batched = FunctionalMachine(program, memory.copy())
     scalar_trace, batched_trace = HookTrace(), HookTrace()
     rng = random.Random(seed)
     remaining = total
@@ -74,10 +76,11 @@ def run_differential(program, memory, *, seed: int, total: int) -> None:
         chunk = min(rng.choice((1, 3, 17, 257, 1024, 4096)), remaining)
         hooked = rng.random() < 0.7
         counts = []
-        for machine, trace in ((scalar, scalar_trace),
-                               (batched, batched_trace)):
+        for machine, trace, run in (
+                (scalar, scalar_trace, partial(run_scalar, scalar)),
+                (batched, batched_trace, batched.run)):
             if hooked:
-                counts.append(machine.run(
+                counts.append(run(
                     chunk,
                     mem_hook=trace.mem_hook,
                     branch_hook=trace.branch_hook,
@@ -85,7 +88,7 @@ def run_differential(program, memory, *, seed: int, total: int) -> None:
                     ifetch_block_bytes=64,
                 ))
             else:
-                counts.append(machine.run(chunk))
+                counts.append(run(chunk))
         assert counts[0] == counts[1], "retired counts diverged"
         assert machine_state(scalar) == machine_state(batched), (
             f"architectural state diverged after a {chunk}-instruction "
@@ -106,14 +109,12 @@ class TestWorkloadFuzz:
 
     @pytest.mark.parametrize("name", ("gcc", "mcf"))
     def test_single_step_chunks(self, name):
-        """chunk=1 forces the batched engine through every boundary."""
+        """chunk=1 forces the span engine through every boundary."""
         workload = build_workload(name, mem_scale=1, seed=3)
-        scalar = FunctionalMachine(workload.program,
-                                   workload.memory.copy(), batched=False)
-        batched = FunctionalMachine(workload.program,
-                                    workload.memory.copy(), batched=True)
+        scalar = FunctionalMachine(workload.program, workload.memory.copy())
+        batched = FunctionalMachine(workload.program, workload.memory.copy())
         for _ in range(700):
-            scalar.run(1)
+            run_scalar(scalar, 1)
             batched.run(1)
             assert machine_state(scalar) == machine_state(batched)
 
@@ -137,21 +138,20 @@ class TestForcedFallback:
         from repro.functional import Memory
 
         run_differential(program, Memory(), seed=1, total=10)
-        machine = FunctionalMachine(program, Memory(), batched=True)
+        machine = FunctionalMachine(program, Memory())
         machine.run(10)
         assert machine.halted
         assert machine.registers[2] == huge & _MASK64
         assert machine.registers[3] == 12
         assert machine.registers[4] == 17
 
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_CORE", "off")
-        workload = build_workload("gcc", mem_scale=1, seed=5)
-        assert workload.make_machine().batched is False
-        monkeypatch.setenv("REPRO_BATCH_CORE", "on")
-        assert workload.make_machine().batched is True
-        monkeypatch.delenv("REPRO_BATCH_CORE")
-        assert workload.make_machine().batched is True
+    def test_oracle_core_selects_engine(self):
+        production = FunctionalMachine.run
+        with oracle_core():
+            assert FunctionalMachine.run is run_scalar
+            machine = build_workload("gcc", mem_scale=1, seed=5).make_machine()
+            assert machine.run(50) == 50
+        assert FunctionalMachine.run is production
 
 
 def _div_result(dividend: int, divisor: int, batched: bool) -> int:
@@ -161,10 +161,13 @@ def _div_result(dividend: int, divisor: int, batched: bool) -> int:
     ], name="div")
     from repro.functional import Memory
 
-    machine = FunctionalMachine(program, Memory(), batched=batched)
+    machine = FunctionalMachine(program, Memory())
     machine.registers[1] = dividend & _MASK64
     machine.registers[2] = divisor & _MASK64
-    machine.run(4)
+    if batched:
+        machine.run(4)
+    else:
+        run_scalar(machine, 4)
     return to_signed(machine.registers[3])
 
 

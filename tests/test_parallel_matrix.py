@@ -19,7 +19,7 @@ from repro.harness import (
 )
 from repro.harness import executor as executor_module
 from repro.harness.parallel import CellProgress
-from repro.warmup import make_method
+from repro.warmup import resolve_method
 
 CI = SCALES["ci"]
 WORKLOADS = ("ammp", "gcc")
@@ -28,7 +28,7 @@ METHOD_NAMES = ("None", "S$BP", "R$BP (20%)")
 
 def small_suite():
     """A picklable module-level factory covering all three method families."""
-    return [make_method(name) for name in METHOD_NAMES]
+    return [resolve_method(name) for name in METHOD_NAMES]
 
 
 def assert_grids_identical(expected, actual):

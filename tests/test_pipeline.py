@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import ReverseStateReconstruction
+from repro.core import ReverseStateReconstruction, SkipRegionLog
 from repro.harness import ExperimentScale
 from repro.harness.parallel import CellSpec, map_tasks
 from repro.sampling import (
@@ -146,9 +146,9 @@ class TestShardedEquivalence:
         """Acceptance: both source representations produce bit-identical
         results through the serial path and through shards."""
         raw = _simulator(workload, cluster_jobs=jobs).run(
-            ReverseStateReconstruction(0.3, source="raw"))
+            ReverseStateReconstruction(0.3, source=SkipRegionLog))
         compacted = _simulator(workload, cluster_jobs=jobs).run(
-            ReverseStateReconstruction(0.3, source="compacted"))
+            ReverseStateReconstruction(0.3))
         assert raw.cluster_ipcs == compacted.cluster_ipcs
         assert raw.cost.as_dict() == compacted.cost.as_dict()
 

@@ -249,8 +249,8 @@ class TestEndToEndEquivalence:
         simulator = SampledSimulator(build_workload("twolf"), self.REGIMEN)
         results = [
             simulator.run(ReverseStateReconstruction(
-                fraction, on_demand=on_demand, source=kind))
-            for kind in ("raw", "compacted")
+                fraction, on_demand=on_demand, source=factory))
+            for factory in (SkipRegionLog, None)
         ]
         assert results[0].cluster_ipcs == results[1].cluster_ipcs
         assert results[0].cost.as_dict() == results[1].cost.as_dict()
@@ -258,8 +258,8 @@ class TestEndToEndEquivalence:
     def test_compacted_stores_fewer_records(self):
         simulator = SampledSimulator(build_workload("gcc"), self.REGIMEN)
         peaks = {}
-        for kind in ("raw", "compacted"):
-            method = ReverseStateReconstruction(1.0, source=kind)
+        for kind, factory in (("raw", SkipRegionLog), ("compacted", None)):
+            method = ReverseStateReconstruction(1.0, source=factory)
             simulator.run(method)
             peaks[kind] = method.log.peak_stored_records
         assert 0 < peaks["compacted"] < peaks["raw"]

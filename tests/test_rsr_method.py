@@ -4,7 +4,12 @@ import pytest
 
 from repro.branch import BranchPredictor, PredictorConfig
 from repro.cache import MemoryHierarchy, paper_hierarchy_config
-from repro.core import ReverseStateReconstruction
+from repro.core import (
+    CompactedSkipRegionLog,
+    ReconstructionSource,
+    ReverseStateReconstruction,
+    SkipRegionLog,
+)
 from repro.warmup import SimulationContext, SmartsWarmup
 from repro.workloads import build_workload
 
@@ -35,6 +40,31 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ReverseStateReconstruction(0.5, warm_cache=False,
                                        warm_predictor=False)
+
+    @pytest.mark.parametrize("kind", ["raw", "compacted", "auto"])
+    def test_source_kind_strings_rejected(self, kind):
+        """The log is chosen by factory, never by a string kind."""
+        with pytest.raises(TypeError, match="factory"):
+            ReverseStateReconstruction(source=kind)
+
+    def test_source_factory_selects_the_log(self):
+        context = make_context()
+        default = ReverseStateReconstruction()
+        default.bind(context)
+        assert isinstance(default.log, CompactedSkipRegionLog)
+        raw = ReverseStateReconstruction(source=SkipRegionLog)
+        raw.bind(make_context())
+        assert isinstance(raw.log, SkipRegionLog)
+        # The factory-built log reports to the run's telemetry session.
+        assert raw.log.telemetry is raw.telemetry
+
+    def test_array_queries_are_required(self):
+        """The reverse scans read only the bulk queries; a source that
+        lacks them fails loudly instead of falling back."""
+        with pytest.raises(NotImplementedError):
+            ReconstructionSource().memory_reverse_arrays(1.0)
+        with pytest.raises(NotImplementedError):
+            ReconstructionSource().btb_claims_arrays(1.0)
 
 
 class TestSkipAndLogging:

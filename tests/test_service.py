@@ -6,11 +6,16 @@ over HTTP produces exactly the payload an inline
 served from the content-addressed result cache without re-running
 anything (asserted via the service counters); tenants exceeding their
 pending-job quota get HTTP 429; and malformed requests get readable
-400s.  Also covers the `RunRequest`/`RunResult` facade itself and the
-deprecation shim.
+400s.  Also covers the `RunRequest`/`RunResult` facade itself, the
+result-cache keys of sharded runs, and `repro serve` signal handling.
 """
 
+import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -22,7 +27,10 @@ from repro.api import (
     gather,
     submit,
 )
+from repro.harness import SCALES
+from repro.harness.cache import ResultCache
 from repro.harness.options import RunOptions
+from repro.harness.parallel import CellSpec
 from repro.service import (
     QuotaExceeded,
     ServiceClient,
@@ -30,10 +38,6 @@ from repro.service import (
     SimulationService,
 )
 from repro.telemetry import parse_exposition
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::DeprecationWarning")
-
 
 def _service(tmp_path, **kwargs):
     kwargs.setdefault("options", RunOptions(scale="ci"))
@@ -112,7 +116,7 @@ class TestExecuteRequest:
 
     def test_audit_payload_has_reports(self):
         request = RunRequest(kind="audit", workloads=("gcc",),
-                             methods=("rsr",), design="ci", source="raw")
+                             methods=("rsr",), design="ci")
         result = execute_request(request, cache="off")
         report = result.payload["reports"]["gcc"]
         assert {"summary", "clusters"} <= set(report)
@@ -130,6 +134,76 @@ class TestExecuteRequest:
         result = handle.result()
         assert handle.done()
         assert isinstance(result, RunResult)
+
+
+class TestShardedCacheKeys:
+    """Sharded IPCs differ from serial ones, so a cached serial payload
+    must never answer a sharded request (or the reverse)."""
+
+    def test_matrix_serial_then_sharded(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        serial = RunRequest(kind="matrix", workloads=("gcc",),
+                            methods=("rsr",), design="ci")
+        sharded = dataclasses.replace(serial, cluster_jobs=2)
+        first = execute_request(serial, cache=cache)
+        second = execute_request(sharded, cache=cache)
+        assert not first.cached and not second.cached
+        assert second.payload == \
+            execute_request(sharded, cache="off").payload
+        assert second.payload != first.payload
+
+    def test_sample_serial_then_sharded(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path / "cache")
+        request = RunRequest(kind="sample", workloads=("gcc",),
+                             methods=("rsr",), design="ci")
+        monkeypatch.delenv("REPRO_CLUSTER_JOBS", raising=False)
+        first = execute_request(request, cache=cache)
+        monkeypatch.setenv("REPRO_CLUSTER_JOBS", "2")
+        second = execute_request(request, cache=cache)
+        assert not first.cached and not second.cached
+        assert second.payload == \
+            execute_request(request, cache="off").payload
+        assert second.payload != first.payload
+
+    def test_keys_resolve_per_cpu_job_counts(self, monkeypatch):
+        """``cluster_jobs=0`` means one worker per CPU: on a multi-CPU
+        host it shards, so it must not share the serial key."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        spec = CellSpec("gcc", "rsr", SCALES["ci"], SCALES["ci"].configs())
+        per_cpu = dataclasses.replace(spec, cluster_jobs=0)
+        assert per_cpu.key() == \
+            dataclasses.replace(spec, cluster_jobs=2).key()
+        assert per_cpu.key() != spec.key()
+        request = RunRequest(kind="matrix", workloads=("gcc",), design="ci")
+        assert dataclasses.replace(request, cluster_jobs=0).fingerprint() \
+            != request.fingerprint()
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert per_cpu.key() == spec.key()
+
+
+class TestServeSignals:
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+    def test_serve_exits_cleanly(self, tmp_path, signum):
+        """`repro serve` started with SIGINT ignored (as from a
+        background shell) still stops on SIGINT and on SIGTERM."""
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--scale", "ci",
+             "--port", "0", "--cache", str(tmp_path / "cache")],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            line = process.stdout.readline()
+            assert "listening on" in line, line
+            process.send_signal(signum)
+            assert process.wait(timeout=10) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
 
 
 class TestServiceRoundTrip:
@@ -451,14 +525,22 @@ class TestRunOptions:
         ("REPRO_EXECUTOR", "warp", "unknown executor"),
         ("REPRO_AUDIT", "maybe", "REPRO_AUDIT"),
         ("REPRO_TELEMETRY", "kinda", "REPRO_TELEMETRY"),
-        ("REPRO_LOG_COMPACTION", "zip", "REPRO_LOG_COMPACTION"),
-        ("REPRO_BATCH_CORE", "turbo", "REPRO_BATCH_CORE"),
     ])
     def test_bad_values_name_the_variable(self, monkeypatch, name, value,
                                           fragment):
         monkeypatch.setenv(name, value)
         with pytest.raises(ValueError, match=fragment):
             RunOptions.from_env()
+
+    def test_reads_thirteen_variables(self, monkeypatch):
+        """The engine has one cold-scan path: the retired core and
+        skip-log switches are no longer configuration."""
+        monkeypatch.setenv("REPRO_BATCH_CORE", "turbo")
+        monkeypatch.setenv("REPRO_LOG_COMPACTION", "zip")
+        options = RunOptions.from_env()
+        assert len(dataclasses.fields(options)) == 13
+        with options.apply():
+            assert os.environ["REPRO_BATCH_CORE"] == "turbo"
 
     def test_overrides_win_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "bench")
@@ -469,10 +551,6 @@ class TestRunOptions:
     def test_none_override_keeps_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "ci")
         assert RunOptions.from_env(scale=None).scale == "ci"
-
-    def test_batch_core_scalar_spelling(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_CORE", "scalar")
-        assert RunOptions.from_env().batch_core is False
 
     def test_apply_exports_and_restores(self, monkeypatch):
         monkeypatch.setenv("REPRO_AUDIT", "1")

@@ -30,7 +30,7 @@ from repro.telemetry import (
     write_chrome_trace,
     write_trace,
 )
-from repro.warmup import make_method
+from repro.warmup import resolve_method
 from repro.workloads import build_workload
 
 CI = SCALES["ci"]
@@ -50,7 +50,7 @@ def run_sampled(cluster_jobs, method="R$BP (20%)", workload="ammp"):
         telemetry=telemetry,
         cluster_jobs=cluster_jobs,
     )
-    result = simulator.run(make_method(method))
+    result = simulator.run(resolve_method(method))
     return result, telemetry.snapshot()
 
 
